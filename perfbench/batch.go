@@ -41,7 +41,7 @@ const (
 	// starts one child before the serving phases and one after, so each
 	// batch figure is the best of 2×childReps rounds spread across the
 	// run rather than taken from one stretch of the shared machine.
-	childReps = 1
+	childReps = 2
 )
 
 // BatchResult is what a batch child reports to the parent.

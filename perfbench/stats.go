@@ -18,8 +18,9 @@ type Metric struct {
 	Value float64 `json:"value"`
 	Unit  string  `json:"unit"`
 	// Samples is how many measurements the value summarizes (0 when it
-	// is a single reading).
-	Samples int `json:"samples,omitempty"`
+	// is a single reading). It is shown in the readable lines only: the
+	// result line holds exactly a value and a unit per metric.
+	Samples int `json:"-"`
 }
 
 // Metrics maps metric names to values.

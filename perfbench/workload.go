@@ -2,7 +2,7 @@ package main
 
 // The workloads and the run that drives them: the batch phase, the
 // serving set-up (repeated, so its time is a median), the open-loop
-// phase at the nominal rate, the offered-rate ladder, and the checks.
+// phase at the nominal rate, the saturation slices, and the checks.
 
 import (
 	"context"
@@ -31,24 +31,27 @@ type Workload struct {
 	WritePct float64
 	// NominalRate is the offered rate (requests/s) of the latency phase.
 	NominalRate float64
-	// Ladder is the fixed list of offered rates max_qps climbs.
-	Ladder []float64
-	// P99LimitMS is the read p99 a ladder step must meet.
-	P99LimitMS float64
+	// SatOps is the number of requests one saturation slice offers at
+	// once; about a second's worth at the workload's capacity.
+	SatOps int
 }
 
 const (
 	conns        = 2 // load-generator connections: nproc of the 2-vCPU machine the benchmark was built on
-	setupRepeats = 3
-	stepSeconds  = 1.5 // length of one ladder step
-	// p99Window is the number of reads each p99 is taken over (ten
+	setupRepeats = 5
+	// satSlices is how many saturation slices max_qps is measured over,
+	// satBudget how long saturation may go on while slices are stolen.
+	satSlices = 7
+	satBudget = 15 * time.Second
+	// p99Window is the number of reads each p99 is taken over (five
 	// beyond the percentile); read_p99_ms is the median of the windows'
 	// p99s, so one stall of the shared machine moves one window only.
-	p99Window = 1000
+	p99Window = 500
 	// maxSteal is the share of the machine's CPU time the hypervisor may
-	// give other guests during a measured slice or ladder step before it
-	// is discarded (see runNominal and climb).
-	maxSteal     = 0.05
+	// give other guests during a measured slice before it is discarded
+	// (see leastSteal). A quiet host steals under 1%; bursts of 15–30%
+	// last tens of seconds.
+	maxSteal     = 0.03
 	sliceSeconds = 2
 	drainLimit   = 5 * time.Second
 	reqTimeout   = 5 * time.Second
@@ -57,17 +60,15 @@ const (
 var workloads = map[string]*Workload{
 	"serve-read": {
 		Name:        "serve-read",
-		NominalRate: 400,
-		Ladder:      []float64{1500, 1875, 2340, 2930, 3660, 4580, 5720, 7150, 8940, 11180},
-		P99LimitMS:  100,
+		NominalRate: 600,
+		SatOps:      4000,
 	},
 	"cluster-mixed": {
 		Name:        "cluster-mixed",
 		Cluster:     true,
 		WritePct:    0.3,
-		NominalRate: 300,
-		Ladder:      []float64{390, 490, 610, 760, 950, 1190, 1490, 1860, 2330},
-		P99LimitMS:  100,
+		NominalRate: 400,
+		SatOps:      1000,
 	},
 }
 
@@ -213,10 +214,10 @@ func runWorkload(w *Workload, env *Env) (*Result, Metrics, error) {
 	props.Set("nominal_lag_p50_ms", quantile(lags, 0.5), "ms")
 	props.Set("nominal_lag_p99_ms", quantile(lags, 0.99), "ms")
 
-	// The offered-rate ladder, untraced runs only.
+	// Saturation, untraced runs only.
 	if !env.Trace {
-		maxQPS, steps := climb(w, stream, sender, expect, model, &tally)
-		e2e.SetN("max_qps", maxQPS, "1/s", steps)
+		maxQPS, ran := saturate(w, stream, sender, expect, model, &tally)
+		e2e.SetN("max_qps", maxQPS, "1/s", ran)
 	}
 
 	// Workload properties, read from the program and the responses.
@@ -432,37 +433,48 @@ type nominalResult struct {
 	kept, slices  int
 }
 
-// runNominal offers the nominal rate in slices of sliceSeconds until
-// seconds' worth of slices ran with at most maxSteal of the machine's
-// CPU taken by the hypervisor for other guests, or twice that many ran
-// in all, and measures the seconds' worth with the least steal: a slice
-// with more steal measures the host, not the program. Every slice is
-// checked and counted.
-func runNominal(w *Workload, seconds float64, stream *Stream, sender Sender, expect *Expect, model *Model, t *Tally) nominalResult {
-	need := int(math.Ceil(seconds / sliceSeconds))
-	var all []nominalResult
+// leastSteal calls slice until need calls ran with at most maxSteal of
+// the machine's CPU taken by the hypervisor for other guests, or until
+// at least need calls ran and budget has passed, and returns which calls
+// to keep: the need with the least steal. A slice with more steal
+// measures the host, not the program; the budget lets a burst of steal
+// pass instead of measuring it.
+func leastSteal(need int, budget time.Duration, slice func()) (keep []bool) {
+	start := time.Now()
 	var steal []float64
-	for clean := 0; clean < need && len(all) < 2*need; {
+	for clean := 0; clean < need && (len(steal) < need || time.Since(start) < budget); {
 		tot0, steal0 := cpuTimes()
-		ph := RunOpenLoop(Schedule(stream.Take(int(w.NominalRate*sliceSeconds)), w.NominalRate), conns, sender, drainLimit)
+		slice()
 		tot1, steal1 := cpuTimes()
-		s := nominalResult{outcomes: ph.Outcomes, backlog: ph.BacklogEnd}
-		s.reads, s.writes, s.padded, s.knn = score(ph, w, expect, model, t)
-		all = append(all, s)
 		steal = append(steal, ratio(steal1-steal0, tot1-tot0))
 		if steal[len(steal)-1] <= maxSteal {
 			clean++
 		}
 	}
-	order := make([]int, len(all))
+	order := make([]int, len(steal))
 	for i := range order {
 		order[i] = i
 	}
 	sort.SliceStable(order, func(a, b int) bool { return steal[order[a]] < steal[order[b]] })
-	keep := make([]bool, len(all))
+	keep = make([]bool, len(steal))
 	for _, i := range order[:need] {
 		keep[i] = true
 	}
+	return keep
+}
+
+// runNominal offers the nominal rate in slices of sliceSeconds and
+// measures seconds' worth of them, chosen by leastSteal within twice
+// that time. Every slice is checked and counted.
+func runNominal(w *Workload, seconds float64, stream *Stream, sender Sender, expect *Expect, model *Model, t *Tally) nominalResult {
+	need := int(math.Ceil(seconds / sliceSeconds))
+	var all []nominalResult
+	keep := leastSteal(need, time.Duration(2*seconds*float64(time.Second)), func() {
+		ph := RunOpenLoop(Schedule(stream.Take(int(w.NominalRate*sliceSeconds)), w.NominalRate), conns, sender, drainLimit)
+		s := nominalResult{outcomes: ph.Outcomes, backlog: ph.BacklogEnd}
+		s.reads, s.writes, s.padded, s.knn = score(ph, w, expect, model, t)
+		all = append(all, s)
+	})
 	r := nominalResult{kept: need, slices: len(all)}
 	for i, s := range all {
 		if !keep[i] {
@@ -478,76 +490,30 @@ func runNominal(w *Workload, seconds float64, stream *Stream, sender Sender, exp
 	return r
 }
 
-// climb runs the ladder: each step offers its rate for stepSeconds; a
-// step passes when its read p99 (failures counting as misses) meets the
-// limit and it ends with at most 2% of its requests still unsent. After
-// the first failing step, two bisections narrow the bracket, and
-// max_qps interpolates the achieved rate at which p99 crosses the
-// limit, so it moves smoothly instead of jumping a whole step. It
-// returns max_qps and the number of steps run.
-func climb(w *Workload, stream *Stream, sender Sender, expect *Expect, model *Model, t *Tally) (float64, int) {
-	steps := 0
-	// try offers one rate, up to tries times until it passes; a ladder
-	// step fails only if it fails twice, so one stall of the shared
-	// machine cannot end the climb. A failed attempt during which the
-	// hypervisor took more than maxSteal of the CPU does not count as a
-	// try (once at most).
-	try := func(rate float64, tries int) (p99, achieved float64, pass bool) {
-		p99 = math.Inf(1)
-		for stolen := false; tries > 0 && !pass; {
-			steps++
-			tot0, steal0 := cpuTimes()
-			ph := RunOpenLoop(Schedule(stream.Take(int(rate*stepSeconds)), rate), conns, sender, drainLimit)
-			tot1, steal1 := cpuTimes()
-			reads, _, _, _ := score(ph, w, expect, model, t)
-			p, a := quantile(reads, 0.99), float64(len(ph.Outcomes))/lastDone(ph).Seconds()
-			pass = p <= w.P99LimitMS && ph.BacklogEnd <= len(ph.Outcomes)/50
-			steal := ratio(steal1-steal0, tot1-tot0)
-			fmt.Fprintf(os.Stderr, "perfbench: ladder %.0f/s: achieved %.0f/s, read p99 %.2f ms, backlog %d, steal %.3f, pass %v\n", rate, a, p, ph.BacklogEnd, steal, pass)
-			if p <= p99 {
-				p99, achieved = p, a
-			}
-			if steal > maxSteal && !stolen {
-				stolen = true
-			} else {
-				tries--
-			}
-			time.Sleep(200 * time.Millisecond) // let the step's tail drain
-		}
-		return p99, achieved, pass
-	}
-	lo, hi := 0.0, 0.0 // offered rates: the highest passing, the lowest failing
-	var loP99, loRate, hiP99, hiRate float64
-	for _, rate := range w.Ladder {
-		p99, achieved, pass := try(rate, 2)
-		if !pass {
-			hi, hiP99, hiRate = rate, p99, achieved
-			break
-		}
-		lo, loP99, loRate = rate, p99, achieved
-	}
-	if hi == 0 {
-		return loRate, steps // the whole ladder passed
-	}
-	if lo == 0 {
-		return hiRate * w.P99LimitMS / max(hiP99, w.P99LimitMS), steps
-	}
-	// Two geometric bisections between the bracketing steps, then linear
-	// interpolation in p99; a failure on backlog alone, or with a request
-	// never sent, counts as failing at the limit.
-	for range 2 {
-		mid := math.Sqrt(lo * hi)
-		if p99, achieved, pass := try(mid, 1); pass {
-			lo, loP99, loRate = mid, p99, achieved
-		} else {
-			hi, hiP99, hiRate = mid, p99, achieved
+// saturate measures the highest rate the deployment sustains. Each
+// slice offers w.SatOps requests all due at once, so every connection
+// sends its next request as soon as the previous one returns; max_qps
+// is the requests of the satSlices slices kept by leastSteal over the
+// time they took to complete. Every reply is checked and counted. The
+// drain limit is generous so that a slower program reads as a lower
+// rate, not as failed requests. It returns max_qps and the number of
+// slices run.
+func saturate(w *Workload, stream *Stream, sender Sender, expect *Expect, model *Model, t *Tally) (float64, int) {
+	var ops, secs []float64
+	keep := leastSteal(satSlices, satBudget, func() {
+		ph := RunOpenLoop(Schedule(stream.Take(w.SatOps), math.Inf(1)), conns, sender, 10*drainLimit)
+		score(ph, w, expect, model, t)
+		ops = append(ops, float64(len(ph.Outcomes)))
+		secs = append(secs, lastDone(ph).Seconds())
+		fmt.Fprintf(os.Stderr, "perfbench: saturation slice: %.0f/s\n", ops[len(ops)-1]/secs[len(secs)-1])
+	})
+	var n, d float64
+	for i := range keep {
+		if keep[i] {
+			n, d = n+ops[i], d+secs[i]
 		}
 	}
-	f := 0.0
-	if hiP99 > w.P99LimitMS && hiP99 > loP99 && !math.IsInf(hiP99, 1) {
-		f = (w.P99LimitMS - loP99) / (hiP99 - loP99)
-	}
-	return loRate + f*max(hiRate-loRate, 0), steps
+	return n / d, len(keep)
 }
 
 // lastDone is when the phase's last operation completed.
