@@ -58,6 +58,15 @@ bench-json:
 	$(GO) test -run '^$$' -bench '$(BENCH_REGEX)' -benchmem -benchtime $(BENCHTIME) ./... > bench/.last_bench.txt
 	$(GO) run ./cmd/benchjson -in bench/.last_bench.txt -baseline bench/BASELINE_010.txt -out BENCH_010.json
 
+# The benchmark of record lives in its own module (perfbench/go.mod),
+# which the root `go build ./...` and `go test ./...` do not see. This
+# target vets and tests it against the program in this checkout, so a
+# change to an API the benchmark calls fails here rather than at
+# benchmark time.
+.PHONY: perfbench-check
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 # End-to-end load-harness smoke: boot a throwaway volatile daemon,
 # drive it with vsmartbench for a couple of seconds, and fail unless
 # the report is well-formed JSON with non-zero sustained QPS. The

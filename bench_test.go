@@ -18,7 +18,6 @@ import (
 	"vsmartjoin/internal/core"
 	"vsmartjoin/internal/datagen"
 	"vsmartjoin/internal/experiments"
-	"vsmartjoin/internal/lsh"
 	"vsmartjoin/internal/mr"
 	"vsmartjoin/internal/mrfs"
 	"vsmartjoin/internal/multiset"
@@ -283,27 +282,6 @@ func BenchmarkPPJoinVariants(b *testing.B) {
 			b.ReportMetric(float64(verified), "verified/run")
 		})
 	}
-}
-
-// BenchmarkLSH measures MinHash signature construction and banded joining.
-func BenchmarkLSH(b *testing.B) {
-	tr, _ := benchInput(b)
-	sets := tr.Multisets[:400]
-	b.Run("signatures", func(b *testing.B) {
-		h := lsh.NewMinHasher(64, 7)
-		for i := 0; i < b.N; i++ {
-			for _, s := range sets[:64] {
-				_ = h.Signature(s)
-			}
-		}
-	})
-	b.Run("join", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := lsh.Join(sets, lsh.Config{Bands: 8, Rows: 8, Seed: 3, Threshold: 0.6, Verify: true}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkShuffleSpill compares the engine's two shuffle modes on an

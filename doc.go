@@ -13,8 +13,7 @@
 // accounting the wall-clock a cluster of the configured size would have
 // spent. Three joining algorithms from the paper are provided
 // (Online-Aggregation, Lookup, and Sharding), plus the VCL prefix-filter
-// baseline, sequential PPJoin+ variants, and a MinHash LSH baseline in the
-// internal packages.
+// baseline and sequential PPJoin+ variants in the internal packages.
 //
 // Quick start:
 //
@@ -174,7 +173,7 @@
 // its /stats endpoint, and its -debug-addr flag serves net/http/pprof
 // on a private listener for live profiling.
 //
-// # kNN queries and adaptive planning
+// # kNN queries
 //
 // The third query shape is k-nearest-neighbor under the distance
 // 1 − similarity. QueryKNN returns the k nearest indexed entities to a
@@ -198,17 +197,9 @@
 // and online lists are byte-identical; knn_diff_test.go gates both
 // against a brute-force oracle.
 //
-// Candidate generation is planned per partition (internal/planner):
-// each shard's ingest-time statistics — entity count, token-frequency
-// skew, cardinality distribution — deterministically select brute
-// force (tiny partitions), the prefix-filter inverted index (the
-// general case), or MinHash LSH bucket seeding (stop-word-dominated
-// partitions) on every mutation. All three strategies are exact, so
-// the choice is purely a cost decision. IndexOptions.Strategy pins
-// every shard to one strategy ("auto", the default, defers to the
-// planner; "prefix", "lsh", and "brute" override it), and
-// IndexStats.Plans — mirrored by the daemon's /stats and /metrics —
-// reports each shard's current decision.
+// Every online query shape generates candidates through the same
+// prefix-filter inverted index; kNN runs the top-k pass and converts
+// similarities to distances.
 //
 // # Cluster serving
 //

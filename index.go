@@ -12,7 +12,6 @@ import (
 	"vsmartjoin/internal/index"
 	"vsmartjoin/internal/metrics"
 	"vsmartjoin/internal/multiset"
-	"vsmartjoin/internal/planner"
 	"vsmartjoin/internal/shard"
 	"vsmartjoin/internal/similarity"
 	"vsmartjoin/internal/wal"
@@ -142,17 +141,6 @@ type IndexOptions struct {
 	// traffic is reported by IndexStats.CacheHits/CacheMisses.
 	CacheSize int
 
-	// Strategy selects the per-partition query strategy: "auto" (or
-	// empty, the default) installs the adaptive planner, which decides
-	// per shard from ingest-time statistics (entity count, token-
-	// frequency skew, cardinality distribution) among "prefix" (the
-	// inverted-index prefix-filter probe), "lsh" (MinHash-bucket-seeded
-	// floor, then an exact sweep), and "brute" (straight scan). Naming
-	// one of the three pins every shard to it. Every strategy returns
-	// byte-identical results — the choice is purely a cost decision.
-	// Current per-shard decisions are reported by IndexStats.Plans.
-	Strategy string
-
 	// BuildShuffleBufferBytes caps per-map-task shuffle memory of the
 	// offline BuildIndexFiles job before sorted runs spill to disk
 	// (0 = all in memory); see Options.ShuffleBufferBytes for the
@@ -206,13 +194,6 @@ type IndexStats struct {
 	Entities   int    `json:"entities"`
 	Elements   int    `json:"elements"`
 	Postings   int    `json:"postings"`
-
-	// Strategy is the configured IndexOptions.Strategy ("auto" unless
-	// pinned); Plans is each shard's current planner decision, in shard
-	// order — under "auto" these can diverge per shard as the partition
-	// statistics diverge.
-	Strategy string   `json:"strategy"`
-	Plans    []string `json:"plans"`
 
 	Adds        int64 `json:"adds"`
 	Removes     int64 `json:"removes"`
@@ -274,10 +255,6 @@ type IndexStats struct {
 type Index struct {
 	measure similarity.Measure
 	inner   *shard.Set
-	// strategy is the configured IndexOptions.Strategy (Auto unless
-	// pinned); immutable after construction. The live per-shard
-	// decisions are read from the shards via inner.Plans().
-	strategy planner.Strategy
 
 	// mu guards the name tables and serializes logged mutations against
 	// snapshots; the shards have their own locks, always nested inside
@@ -398,14 +375,9 @@ func newIndex(opts IndexOptions, create bool) (*Index, error) {
 	if queueDepth <= 0 {
 		queueDepth = defaultMutationQueueDepth
 	}
-	strategy, err := planner.Parse(opts.Strategy)
-	if err != nil {
-		return nil, fmt.Errorf("vsmartjoin: %w", err)
-	}
 	ix := &Index{
 		measure:       m,
 		inner:         shard.New(m, shards),
-		strategy:      strategy,
 		dict:          multiset.NewDict(),
 		byName:        make(map[string]multiset.ID),
 		names:         make(map[multiset.ID]string),
@@ -414,14 +386,6 @@ func newIndex(opts IndexOptions, create bool) (*Index, error) {
 		durability:    opts.Durability,
 		gcWindow:      gcWindow,
 		queueDepth:    queueDepth,
-	}
-	// Plan wiring happens before any entity lands (openLogs below bulk-
-	// loads recovered state), so recovery and live ingest replan through
-	// the same deterministic path.
-	if strategy == planner.Auto {
-		ix.inner.SetPlanner(planner.Heuristic{})
-	} else {
-		ix.inner.SetStrategy(strategy)
 	}
 	cacheSize := opts.CacheSize
 	if cacheSize == 0 {
@@ -1468,17 +1432,10 @@ func (ix *Index) Stats() IndexStats {
 		cacheMisses = ix.cache.misses.Load()
 		cacheEntries = ix.cache.len()
 	}
-	plans := ix.inner.Plans()
-	planNames := make([]string, len(plans))
-	for i, p := range plans {
-		planNames[i] = p.String()
-	}
 	return IndexStats{
 		Measure:            ix.measure.Name(),
 		Shards:             ix.inner.Shards(),
 		Generation:         ix.Generation(),
-		Strategy:           ix.strategy.String(),
-		Plans:              planNames,
 		Entities:           s.Entities,
 		Elements:           s.Elements,
 		Postings:           s.Postings,

@@ -213,17 +213,6 @@ func TestNodeMetricsEndpoint(t *testing.T) {
 	if _, ok := samples["vsmart_http_rejected_total"]; !ok {
 		t.Fatal("admission series missing from scrape")
 	}
-	// Planner decisions are on the scrape: one shard here, and a corpus
-	// this small always plans brute.
-	if v := samples[`vsmart_plan_shards{strategy="brute"}`]; v != 1 {
-		t.Fatalf(`vsmart_plan_shards{strategy="brute"} = %v, want 1`, v)
-	}
-	if v := samples[`vsmart_plan_shards{strategy="prefix"}`]; v != 0 {
-		t.Fatalf(`vsmart_plan_shards{strategy="prefix"} = %v, want 0`, v)
-	}
-	if v := samples[`vsmart_plan_strategy{strategy="auto"}`]; v != 1 {
-		t.Fatalf(`vsmart_plan_strategy{strategy="auto"} = %v, want 1`, v)
-	}
 }
 
 // TestKNNEndpoint covers /knn on a node and on a router over that node:

@@ -33,11 +33,8 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"vsmartjoin/internal/lsh"
 	"vsmartjoin/internal/multiset"
-	"vsmartjoin/internal/planner"
 	"vsmartjoin/internal/similarity"
-	"vsmartjoin/internal/stats"
 )
 
 // boundEps is the slack applied when comparing pruning bounds against the
@@ -138,23 +135,6 @@ type Index struct {
 	// scratch is owned by exactly one query between Get and Put.
 	scratch sync.Pool
 
-	// Adaptive planning (internal/planner). plan is the strategy queries
-	// currently run through; override pins it when not Auto; pl, when
-	// non-nil, re-decides it from the partition statistics on every
-	// mutation (nil — the New default — pins the Prefix path, so the
-	// bare data structure behaves exactly as before SetPlanner existed).
-	// cardDist tracks the live entities' cardinality distribution and
-	// maxPosting the longest posting list (stale entries included);
-	// lshTab is the MinHash band table maintained only while the plan is
-	// LSH. All are guarded by mu: mutated under the write lock, read by
-	// queries under the read lock.
-	pl         planner.Planner
-	override   planner.Strategy
-	plan       planner.Strategy
-	cardDist   stats.Dist
-	maxPosting int
-	lshTab     *lsh.Table
-
 	adds        atomic.Int64
 	removes     atomic.Int64
 	compactions atomic.Int64
@@ -166,15 +146,12 @@ type Index struct {
 	results     atomic.Int64
 }
 
-// New returns an empty index verifying with the given measure. The
-// query plan starts (and without SetPlanner/SetStrategy stays) Prefix —
-// the inverted-index probe.
+// New returns an empty index verifying with the given measure.
 func New(m similarity.Measure) *Index {
 	return &Index{
 		measure:  m,
 		entities: make(map[multiset.ID]*entry),
 		postings: make(map[multiset.Elem][]*entry),
-		plan:     planner.Prefix,
 	}
 }
 
@@ -202,9 +179,38 @@ func (ix *Index) allocSlotLocked() int32 {
 	return s
 }
 
-// freeSlotLocked returns a dead entry's slot to the free list. Caller
-// holds the write lock.
-func (ix *Index) freeSlotLocked(e *entry) {
+// upsertLocked makes e the current entry for its ID: it takes a mark
+// slot, retires the entry it replaces (whose postings turn stale the
+// moment the map points at e), and appends e to its element posting
+// lists. Caller holds the write lock.
+func (ix *Index) upsertLocked(e *entry) {
+	e.slot = ix.allocSlotLocked()
+	if old, ok := ix.entities[e.set.ID]; ok {
+		ix.retireLocked(old)
+	}
+	ix.entities[e.set.ID] = e
+	for _, ent := range e.set.Entries {
+		ix.postings[ent.Elem] = append(ix.postings[ent.Elem], e)
+	}
+	ix.postingCount += len(e.set.Entries)
+}
+
+// removeLocked deletes the entity with the given ID, reporting whether
+// it was present. Caller holds the write lock.
+func (ix *Index) removeLocked(id multiset.ID) bool {
+	e, ok := ix.entities[id]
+	if ok {
+		delete(ix.entities, id)
+		ix.retireLocked(e)
+	}
+	return ok
+}
+
+// retireLocked accounts a dead entry: its postings count toward
+// compaction and its slot returns to the free list. Caller holds the
+// write lock.
+func (ix *Index) retireLocked(e *entry) {
+	ix.deadPostings += len(e.set.Entries)
 	ix.freeSlots = append(ix.freeSlots, e.slot)
 }
 
@@ -215,39 +221,10 @@ func (ix *Index) freeSlotLocked(e *entry) {
 func (ix *Index) Add(m multiset.Multiset) {
 	e := &entry{set: m, uni: similarity.UniOf(m)}
 	ix.mu.Lock()
-	e.slot = ix.allocSlotLocked()
-	if old, ok := ix.entities[m.ID]; ok {
-		// The old entry's postings become stale the moment the map points
-		// at the new one; count them for compaction.
-		ix.deadPostings += len(old.set.Entries)
-		ix.freeSlotLocked(old)
-		ix.cardDist.Remove(old.uni.Card)
-	}
-	ix.entities[m.ID] = e
-	ix.addPostingsLocked(e)
-	ix.cardDist.Add(e.uni.Card)
-	if ix.lshTab != nil {
-		ix.lshTab.Add(uint64(m.ID), m)
-	}
+	ix.upsertLocked(e)
 	ix.maybeCompactLocked()
-	ix.replanLocked()
 	ix.mu.Unlock()
 	ix.adds.Add(1)
-}
-
-// addPostingsLocked appends a fresh entry to its element posting lists,
-// maintaining the posting count and the longest-list high-water mark
-// the planner's token-skew statistic reads. Caller holds the write
-// lock.
-func (ix *Index) addPostingsLocked(e *entry) {
-	for _, ent := range e.set.Entries {
-		list := append(ix.postings[ent.Elem], e)
-		ix.postings[ent.Elem] = list
-		if len(list) > ix.maxPosting {
-			ix.maxPosting = len(list)
-		}
-	}
-	ix.postingCount += len(e.set.Entries)
 }
 
 // BatchOp is one mutation of an ApplyBatch: an upsert of Set when
@@ -272,35 +249,15 @@ func (ix *Index) ApplyBatch(ops []BatchOp) {
 	ix.mu.Lock()
 	for _, op := range ops {
 		if op.Remove {
-			if e, ok := ix.entities[op.ID]; ok {
-				delete(ix.entities, op.ID)
-				ix.deadPostings += len(e.set.Entries)
-				ix.freeSlotLocked(e)
-				ix.cardDist.Remove(e.uni.Card)
-				if ix.lshTab != nil {
-					ix.lshTab.Remove(uint64(op.ID))
-				}
+			if ix.removeLocked(op.ID) {
 				removes++
 			}
 			continue
 		}
-		m := op.Set
-		e := &entry{set: m, uni: similarity.UniOf(m), slot: ix.allocSlotLocked()}
-		if old, ok := ix.entities[m.ID]; ok {
-			ix.deadPostings += len(old.set.Entries)
-			ix.freeSlotLocked(old)
-			ix.cardDist.Remove(old.uni.Card)
-		}
-		ix.entities[m.ID] = e
-		ix.addPostingsLocked(e)
-		ix.cardDist.Add(e.uni.Card)
-		if ix.lshTab != nil {
-			ix.lshTab.Add(uint64(m.ID), m)
-		}
+		ix.upsertLocked(&entry{set: op.Set, uni: similarity.UniOf(op.Set)})
 		adds++
 	}
 	ix.maybeCompactLocked()
-	ix.replanLocked()
 	ix.mu.Unlock()
 	ix.adds.Add(adds)
 	ix.removes.Add(removes)
@@ -308,14 +265,13 @@ func (ix *Index) ApplyBatch(ops []BatchOp) {
 
 // BulkLoad ingests entities in strictly ascending ID order into an
 // empty index — the sealed fast path a bulk-built snapshot loads
-// through. Unlike repeated Add it skips the whole upsert machinery:
-// no per-entity existence check, no tombstone accounting, no
-// compaction-trigger evaluation, and the entity table is sized once.
-// The resulting structures are exactly what the same Adds would have
-// built (posting lists append in ID order either way), so queries
-// answer identically. The index takes ownership of the multisets.
-// A non-empty index or an ID-order violation is an error and leaves
-// the index unchanged.
+// through. Unlike repeated Add it sizes the entity table once and
+// skips the compaction-trigger evaluation (an empty index has nothing
+// stale to compact). The resulting structures are exactly what the
+// same Adds would have built (posting lists append in ID order either
+// way), so queries answer identically. The index takes ownership of
+// the multisets. A non-empty index or an ID-order violation is an
+// error and leaves the index unchanged.
 func (ix *Index) BulkLoad(sets []multiset.Multiset) error {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
@@ -333,15 +289,8 @@ func (ix *Index) BulkLoad(sets []multiset.Multiset) error {
 	}
 	ix.entities = make(map[multiset.ID]*entry, len(sets))
 	for _, m := range sets {
-		e := &entry{set: m, uni: similarity.UniOf(m), slot: ix.allocSlotLocked()}
-		ix.entities[m.ID] = e
-		ix.addPostingsLocked(e)
-		ix.cardDist.Add(e.uni.Card)
-		if ix.lshTab != nil {
-			ix.lshTab.Add(uint64(m.ID), m)
-		}
+		ix.upsertLocked(&entry{set: m, uni: similarity.UniOf(m)})
 	}
-	ix.replanLocked()
 	// Bulk-loaded entities are mutations like any other: a daemon
 	// bootstrapped from snapshot files must report the entities it
 	// serves in Stats.Adds (and /readyz's mutation counter), not 0.
@@ -353,17 +302,9 @@ func (ix *Index) BulkLoad(sets []multiset.Multiset) error {
 // present.
 func (ix *Index) Remove(id multiset.ID) bool {
 	ix.mu.Lock()
-	e, ok := ix.entities[id]
+	ok := ix.removeLocked(id)
 	if ok {
-		delete(ix.entities, id)
-		ix.deadPostings += len(e.set.Entries)
-		ix.freeSlotLocked(e)
-		ix.cardDist.Remove(e.uni.Card)
-		if ix.lshTab != nil {
-			ix.lshTab.Remove(uint64(id))
-		}
 		ix.maybeCompactLocked()
-		ix.replanLocked()
 	}
 	ix.mu.Unlock()
 	if ok {
@@ -378,7 +319,6 @@ func (ix *Index) maybeCompactLocked() {
 	if ix.deadPostings <= ix.postingCount-ix.deadPostings {
 		return
 	}
-	ix.maxPosting = 0
 	for elem, list := range ix.postings {
 		w := 0
 		for _, e := range list {
@@ -392,9 +332,6 @@ func (ix *Index) maybeCompactLocked() {
 			continue
 		}
 		ix.postings[elem] = list[:w]
-		if w > ix.maxPosting {
-			ix.maxPosting = w
-		}
 	}
 	ix.postingCount -= ix.deadPostings
 	ix.deadPostings = 0
@@ -477,13 +414,10 @@ type queryScratch struct {
 	marks []uint32
 	epoch uint32
 	heap  topkHeap
-	// sig holds the query's MinHash signature when the LSH strategy is
-	// active.
-	sig []uint64
-	// cnt accumulates the funnel counters while the read lock is held;
-	// they flush to the atomics afterwards. Living inside the pooled
-	// scratch (rather than being locals passed by pointer into the
-	// per-strategy helpers) keeps them off the heap.
+	// cnt accumulates the top-k funnel counters while the read lock is
+	// held; they flush to the atomics afterwards. Living inside the
+	// pooled scratch (rather than being locals passed by pointer into
+	// topkPrefixLocked) keeps them off the heap.
 	cnt struct {
 		probes, cands, lenPruned, verified int64
 	}
@@ -544,24 +478,16 @@ func sortProbeOrder(ord []multiset.Entry) {
 }
 
 // gather collects the deduplicated live candidates (in s.cands) that
-// survive the active strategy's filters, under the read lock. stop is
-// the verification cut-off the bounds prune against. An entity whose ID
-// equals the query's own ID is never a candidate (self-pairs are
-// meaningless; use ID 0 for ad-hoc queries).
-//
-// Under the Prefix plan the query's posting lists are probed in
-// decreasing-multiplicity order and probing ends once the residual
-// bound shows the unprobed tail cannot reach stop. Under Brute the
-// entity table is scanned outright, length-filtered only. The LSH plan
-// has nothing to offer a fixed threshold — its bucket collisions seed a
-// *rising* floor, and stop never rises — so it gathers like Prefix.
+// survive the prefix and length filters, under the read lock. stop is
+// the verification cut-off the bounds prune against. The query's
+// posting lists are probed in decreasing-multiplicity order and probing
+// ends once the residual bound shows the unprobed tail cannot reach
+// stop. An entity whose ID equals the query's own ID is never a
+// candidate (self-pairs are meaningless; use ID 0 for ad-hoc queries).
 func (ix *Index) gather(s *queryScratch, q Query, qUni similarity.UniStats, stop float64) []*entry {
 	s.cands = s.cands[:0]
 	var probes, lenPruned int64
 
-	if ix.Plan() == planner.Brute {
-		return ix.gatherBrute(s, q, qUni, stop)
-	}
 	ix.mu.RLock()
 	s.order = append(s.order[:0], q.Set.Entries...)
 	sortProbeOrder(s.order)
@@ -602,31 +528,6 @@ func (ix *Index) gather(s *queryScratch, q Query, qUni similarity.UniStats, stop
 	return s.cands
 }
 
-// gatherBrute is gather's Brute plan: a straight scan of the entity
-// table, length-filtered only. The plan may have flipped to Brute
-// between gather's dispatch read and this lock — harmless, the scan is
-// valid under any plan.
-func (ix *Index) gatherBrute(s *queryScratch, q Query, qUni similarity.UniStats, stop float64) []*entry {
-	var probes, lenPruned int64
-	ix.mu.RLock()
-	for _, e := range ix.entities {
-		probes++
-		if e.set.ID == q.Set.ID {
-			continue
-		}
-		if similarity.SimUpperBound(ix.measure, qUni, e.uni)+boundEps < stop {
-			lenPruned++
-			continue
-		}
-		s.cands = append(s.cands, e)
-	}
-	ix.mu.RUnlock()
-	ix.probes.Add(probes)
-	ix.candidates.Add(int64(len(s.cands)) + lenPruned)
-	ix.lenPruned.Add(lenPruned)
-	return s.cands
-}
-
 // QueryThreshold returns every indexed entity whose similarity to q is at
 // least t, sorted by decreasing similarity (ID ascending on ties). The
 // exact-verification loop runs after the read lock is released: entries
@@ -654,10 +555,9 @@ func (ix *Index) QueryThresholdInto(q Query, t float64, buf []Match) []Match {
 	for _, e := range cands {
 		conj := similarity.ConjOf(q.Set, e.set)
 		if conj.Common == 0 {
-			// Only entities sharing an element qualify, even at t = 0 —
-			// the threshold convention every strategy must agree on. A
-			// no-op for prefix candidates (posting lists only yield
-			// overlaps) but load-bearing for the brute scan.
+			// Only entities sharing an element qualify, even at t = 0. A
+			// posting hit is always an overlap unless a hand-built
+			// multiset carries a zero count.
 			continue
 		}
 		sim := ix.measure.Sim(qUni, e.uni, conj)
@@ -684,12 +584,6 @@ func (ix *Index) QueryTopK(q Query, k int) []Match {
 // QueryTopKInto is QueryTopK appending into buf (typically a reused
 // buffer truncated to buf[:0]) instead of allocating the result. Only
 // the appended region is sorted; buf's existing contents are preserved.
-//
-// The pass runs through the partition's planned strategy (see
-// internal/planner): the prefix-filter probe, a MinHash-bucket-seeded
-// sweep, or a straight scan. Every strategy yields the same k matches —
-// they differ only in how fast the rising k-th-best floor is
-// established.
 func (ix *Index) QueryTopKInto(q Query, k int, buf []Match) []Match {
 	ix.queries.Add(1)
 	if k <= 0 || len(q.Set.Entries) == 0 {
@@ -701,14 +595,7 @@ func (ix *Index) QueryTopKInto(q Query, k int, buf []Match) []Match {
 	s.cnt.probes, s.cnt.cands, s.cnt.lenPruned, s.cnt.verified = 0, 0, 0, 0
 
 	ix.mu.RLock()
-	switch ix.plan {
-	case planner.Brute:
-		ix.topkBruteLocked(s, q, qUni, k)
-	case planner.LSH:
-		ix.topkLSHLocked(s, q, qUni, k)
-	default:
-		ix.topkPrefixLocked(s, q, qUni, k)
-	}
+	ix.topkPrefixLocked(s, q, qUni, k)
 	ix.mu.RUnlock()
 
 	ix.probes.Add(s.cnt.probes)

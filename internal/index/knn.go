@@ -15,9 +15,9 @@ import (
 // total order, and the rising k-th-distance floor the literature prunes
 // with (floor_d) is exactly the rising k-th-best similarity floor the
 // top-k pass already maintains: floor_d = 1 − floor_sim. QueryKNNInto
-// therefore runs the planned top-k pass (prefix probe, LSH-seeded
-// sweep, or brute scan — see plan.go) and converts, inheriting every
-// pruning bound, the pooled scratch, and the zero-allocation property.
+// therefore runs the prefix-filter top-k pass and converts, inheriting
+// every pruning bound, the pooled scratch, and the zero-allocation
+// property.
 //
 // Scope: like the threshold queries, the internal layer only surfaces
 // entities sharing at least one element with the query. Overlap means
@@ -70,7 +70,7 @@ func (ix *Index) QueryKNN(q Query, k int) []Neighbor {
 // QueryKNNInto is QueryKNN appending into buf (typically a reused
 // buffer truncated to buf[:0]) instead of allocating the result — the
 // allocation-free form the sharded fan-out uses. The pass is the
-// planned top-k pass: the current k-th-best similarity floor is the
+// top-k pass: the current k-th-best similarity floor is the
 // k-th-distance floor (floor_d = 1 − floor_sim), rising as nearer
 // neighbors are verified.
 func (ix *Index) QueryKNNInto(q Query, k int, buf []Neighbor) []Neighbor {

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"vsmartjoin/internal/multiset"
-	"vsmartjoin/internal/planner"
 	"vsmartjoin/internal/ppjoin"
 	"vsmartjoin/internal/similarity"
 )
@@ -43,9 +42,8 @@ func neighborsEqual(a, b []Neighbor) bool {
 	return true
 }
 
-// TestQueryKNNMatchesOracle gates the planned kNN pass — under every
-// strategy the planner can pick — against the quadratic oracle,
-// including duplicate multisets (maximal ID tie groups) and
+// TestQueryKNNMatchesOracle gates the kNN pass against the quadratic
+// oracle, including duplicate multisets (maximal ID tie groups) and
 // self-queries of every indexed entity.
 func TestQueryKNNMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
@@ -56,20 +54,17 @@ func TestQueryKNNMatchesOracle(t *testing.T) {
 		multiset.Multiset{ID: 101, Entries: sets[0].Entries},
 	)
 	for _, m := range similarity.All() {
-		for _, strat := range []planner.Strategy{planner.Auto, planner.Prefix, planner.LSH, planner.Brute} {
-			ix := buildIndex(m, sets)
-			ix.SetStrategy(strat)
-			for _, k := range []int{1, 5, 50} {
-				for _, q := range sets {
-					// The oracle excludes q's own ID like KNNAgainst does; the
-					// index has no such notion, so query a fresh ID.
-					probe := multiset.Multiset{ID: 9999, Entries: q.Entries}
-					got := ix.QueryKNN(QueryOf(probe), k)
-					want := oracleKNN(sets, probe, k, m)
-					if !neighborsEqual(got, want) {
-						t.Fatalf("%s strategy=%v k=%d q=%d:\n got %v\nwant %v",
-							m.Name(), strat, k, q.ID, got, want)
-					}
+		ix := buildIndex(m, sets)
+		for _, k := range []int{1, 5, 50} {
+			for _, q := range sets {
+				// The oracle excludes q's own ID like KNNAgainst does; the
+				// index has no such notion, so query a fresh ID.
+				probe := multiset.Multiset{ID: 9999, Entries: q.Entries}
+				got := ix.QueryKNN(QueryOf(probe), k)
+				want := oracleKNN(sets, probe, k, m)
+				if !neighborsEqual(got, want) {
+					t.Fatalf("%s k=%d q=%d:\n got %v\nwant %v",
+						m.Name(), k, q.ID, got, want)
 				}
 			}
 		}

@@ -7,7 +7,6 @@ import (
 
 	"vsmartjoin/internal/index"
 	"vsmartjoin/internal/multiset"
-	"vsmartjoin/internal/planner"
 	"vsmartjoin/internal/similarity"
 )
 
@@ -24,9 +23,9 @@ func sameNeighbors(t *testing.T, tag string, got, want []index.Neighbor) {
 }
 
 // TestKNNDifferentialVsSingleIndex is the sharded kNN exactness gate:
-// for shard counts {1, 3, 8} and every planner strategy, QueryKNN must
-// return exactly the single-index answer — same IDs, same distances,
-// same order — including after churn.
+// for shard counts {1, 3, 8}, QueryKNN must return exactly the
+// single-index answer — same IDs, same distances, same order —
+// including after churn.
 func TestKNNDifferentialVsSingleIndex(t *testing.T) {
 	rng := rand.New(rand.NewSource(103))
 	for _, measureName := range []string{"ruzicka", "jaccard", "cosine"} {
@@ -45,35 +44,31 @@ func TestKNNDifferentialVsSingleIndex(t *testing.T) {
 		for _, s := range sets {
 			single.Add(s)
 		}
-		for _, strat := range []planner.Strategy{planner.Auto, planner.LSH, planner.Brute} {
-			single.SetStrategy(strat)
-			for _, n := range []int{1, 3, 8} {
-				set := New(m, n)
-				for _, s := range sets {
-					set.Add(s)
+		for _, n := range []int{1, 3, 8} {
+			set := New(m, n)
+			for _, s := range sets {
+				set.Add(s)
+			}
+			for _, k := range []int{1, 5, 50} {
+				for _, q := range sets[:20] {
+					tag := fmt.Sprintf("%s shards=%d k=%d q=%d", measureName, n, k, q.ID)
+					sameNeighbors(t, tag, set.QueryKNN(index.QueryOf(q), k), single.QueryKNN(index.QueryOf(q), k))
 				}
-				set.SetStrategy(strat)
-				for _, k := range []int{1, 5, 50} {
-					for _, q := range sets[:20] {
-						tag := fmt.Sprintf("%s strategy=%v shards=%d k=%d q=%d", measureName, strat, n, k, q.ID)
-						sameNeighbors(t, tag, set.QueryKNN(index.QueryOf(q), k), single.QueryKNN(index.QueryOf(q), k))
-					}
-				}
-				// Churn a slice of entities, then re-compare: removals must
-				// vanish from lists on both sides identically.
-				for _, s := range sets[10:20] {
-					set.Remove(s.ID)
-					single.Remove(s.ID)
-				}
-				for _, q := range sets[:5] {
-					tag := fmt.Sprintf("%s strategy=%v shards=%d churn q=%d", measureName, strat, n, q.ID)
-					sameNeighbors(t, tag, set.QueryKNN(index.QueryOf(q), 5), single.QueryKNN(index.QueryOf(q), 5))
-				}
-				// Restore for the next shard count.
-				for _, s := range sets[10:20] {
-					set.Add(s)
-					single.Add(s)
-				}
+			}
+			// Churn a slice of entities, then re-compare: removals must
+			// vanish from lists on both sides identically.
+			for _, s := range sets[10:20] {
+				set.Remove(s.ID)
+				single.Remove(s.ID)
+			}
+			for _, q := range sets[:5] {
+				tag := fmt.Sprintf("%s shards=%d churn q=%d", measureName, n, q.ID)
+				sameNeighbors(t, tag, set.QueryKNN(index.QueryOf(q), 5), single.QueryKNN(index.QueryOf(q), 5))
+			}
+			// Restore for the next shard count.
+			for _, s := range sets[10:20] {
+				set.Add(s)
+				single.Add(s)
 			}
 		}
 	}

@@ -350,32 +350,11 @@ func (s *Set) QueryKNNInto(q index.Query, k int, buf []index.Neighbor) []index.N
 	return buf
 }
 
-// SetPlanner installs a planner on every shard; each shard decides its
-// own strategy from its own partition statistics, so a skewed shard
-// can plan differently from its siblings.
-func (s *Set) SetPlanner(p planner.Planner) {
-	for _, sh := range s.shards {
-		sh.SetPlanner(p)
-	}
-}
-
-// SetStrategy pins every shard to one strategy (Auto clears the pin) —
-// the IndexOptions.Strategy override fanned out.
-func (s *Set) SetStrategy(st planner.Strategy) {
-	for _, sh := range s.shards {
-		sh.SetStrategy(st)
-	}
-}
-
-// Plans reports each shard's current strategy, in shard order — the
-// per-partition planner decisions /stats and /metrics surface.
-func (s *Set) Plans() []planner.Strategy {
-	out := make([]planner.Strategy, len(s.shards))
-	for i, sh := range s.shards {
-		out[i] = sh.Plan()
-	}
-	return out
-}
+// SetPlanner does nothing: every shard runs the prefix-filter index,
+// so there is no plan to choose. It stays only until the benchmark of
+// record (perfbench) drops its SetPlanner(planner.Heuristic{}) call;
+// delete it and package planner together with that call.
+func (s *Set) SetPlanner(planner.Heuristic) {}
 
 // Stats sums the per-shard counters. Queries is counted at the set
 // level (one per logical fan-out); everything else — sizes, probes,

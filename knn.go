@@ -50,8 +50,7 @@ func SortNeighborsByName(ns []Neighbor) {
 // QueryKNN returns the k nearest indexed entities to the query
 // multiset under distance 1 − similarity, nearest first (entity name
 // ascending on ties). The list is shorter than k only when fewer than
-// k entities are indexed. Like every query, the pass runs through the
-// planned per-shard strategy and the answer is independent of it.
+// k entities are indexed.
 func (ix *Index) QueryKNN(counts map[string]uint32, k int) []Neighbor {
 	if k <= 0 {
 		return nil

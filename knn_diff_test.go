@@ -4,8 +4,8 @@ package vsmartjoin
 // distance-ordered query surface: online QueryKNN/QueryKNNEntity and
 // batch AllKNN must reproduce a brute-force oracle built on the public
 // Similarity function — for every measure family, for k below, at, and
-// beyond the corpus size, across shard counts, under every planner
-// strategy (pinned and auto), and after churn. Shard counts are
+// beyond the corpus size, across shard counts, over corpora from tiny
+// to stop-word-dominated, and after churn. Shard counts are
 // additionally held byte-identical to each other: the canonical
 // (distance ascending, name ascending) order may not depend on the
 // deployment shape. Batch AllKNN lists are also gated byte-identical
@@ -95,6 +95,36 @@ func mustMatchKNN(t *testing.T, tag string, got, want []Neighbor) {
 	}
 }
 
+// knnDiffCorpora are the inputs of the online differential. Each
+// generator runs on its own seed, and churn draws from the same stream.
+var knnDiffCorpora = []struct {
+	name string
+	seed int64
+	gen  func(rng *rand.Rand) map[string]map[string]uint32
+}{
+	{"clustered", 1012, func(rng *rand.Rand) map[string]map[string]uint32 {
+		return knnEntities(rng, 40)
+	}},
+	// A corpus of 30 entities, fewer than one probe's setup would
+	// amortize over.
+	{"small", 77, func(rng *rand.Rand) map[string]map[string]uint32 {
+		return randomEntities(rng, 30, 20, 6, 3)
+	}},
+	// 200 entities over a wide alphabet, no hot element.
+	{"uniform", 77, func(rng *rand.Rand) map[string]map[string]uint32 {
+		return randomEntities(rng, 200, 400, 6, 3)
+	}},
+	// 200 entities all sharing one stop-word element, whose posting
+	// list covers the whole corpus.
+	{"stopword", 77, func(rng *rand.Rand) map[string]map[string]uint32 {
+		out := randomEntities(rng, 200, 400, 6, 3)
+		for _, counts := range out {
+			counts["hot"] = 1
+		}
+		return out
+	}},
+}
+
 // knnProbes is the query battery: the duplicate multiset (maximal
 // ties), generic overlaps, a single hot element, out-of-alphabet
 // elements, and the empty query (every entity at distance exactly 1).
@@ -110,32 +140,33 @@ func knnProbes(entities map[string]map[string]uint32) []map[string]uint32 {
 }
 
 // TestKNNDifferentialQuery is the online acceptance gate: measures ×
-// strategies (auto and all three pinned) × shard counts {1,3,8} × k
-// {1,5,50} against the oracle, with all shard counts byte-identical to
-// each other, before and after churn.
+// corpora × shard counts {1,3,8} × k {1,5,50} against the oracle, with
+// all shard counts byte-identical to each other, before and after
+// churn.
 func TestKNNDifferentialQuery(t *testing.T) {
 	for _, measure := range knnDiffMeasures {
-		for _, strategy := range []string{"auto", "prefix", "lsh", "brute"} {
-			t.Run(fmt.Sprintf("%s/%s", measure, strategy), func(t *testing.T) {
-				runKNNDifferentialQuery(t, measure, strategy)
+		for _, corpus := range knnDiffCorpora {
+			t.Run(fmt.Sprintf("%s/%s", measure, corpus.name), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(corpus.seed))
+				runKNNDifferentialQuery(t, measure, rng, corpus.gen(rng))
 			})
 		}
 	}
 }
 
-func runKNNDifferentialQuery(t *testing.T, measure, strategy string) {
-	rng := rand.New(rand.NewSource(1012))
-	entities := knnEntities(rng, 40)
+func runKNNDifferentialQuery(t *testing.T, measure string, rng *rand.Rand, entities map[string]map[string]uint32) {
 	names := make([]string, 0, len(entities))
 	for name := range entities {
 		names = append(names, name)
 	}
 	sort.Strings(names)
+	// An ad-hoc copy of an indexed entity: it finds itself at distance 0.
+	probes := append(knnProbes(entities), entities[names[3]])
 
 	shardCounts := []int{1, 3, 8}
 	indexes := make([]*Index, len(shardCounts))
 	for i, shards := range shardCounts {
-		ix, err := NewIndex(IndexOptions{Measure: measure, Shards: shards, Strategy: strategy})
+		ix, err := NewIndex(IndexOptions{Measure: measure, Shards: shards})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,19 +175,11 @@ func runKNNDifferentialQuery(t *testing.T, measure, strategy string) {
 		for _, name := range names {
 			mustAdd(t, ix, name, entities[name])
 		}
-		if strategy != "auto" {
-			// A pinned override must be every shard's reported plan.
-			for s, plan := range ix.Stats().Plans {
-				if plan != strategy {
-					t.Fatalf("shard %d of %d plans %q under pinned %q", s, shards, plan, strategy)
-				}
-			}
-		}
 	}
 
 	compare := func(stage string) {
 		t.Helper()
-		for pi, probe := range knnProbes(entities) {
+		for pi, probe := range probes {
 			for _, k := range knnDiffKs {
 				var ref []byte
 				for i, ix := range indexes {
@@ -273,65 +296,5 @@ func TestKNNDifferentialAllKNN(t *testing.T) {
 			}
 		}
 		ix.Close()
-	}
-}
-
-// TestKNNAutoPlanCoversAllStrategies pins the "every strategy is
-// exercised" property of the suite without overrides: corpora shaped
-// for each heuristic regime must actually land on brute, prefix, and
-// lsh under the auto planner, and answer oracle-exact there.
-func TestKNNAutoPlanCoversAllStrategies(t *testing.T) {
-	cases := []struct {
-		name string
-		plan string
-		gen  func(rng *rand.Rand) map[string]map[string]uint32
-	}{
-		// ≤64 entities in the single shard → brute.
-		{"small-corpus", "brute", func(rng *rand.Rand) map[string]map[string]uint32 {
-			return randomEntities(rng, 30, 20, 6, 3)
-		}},
-		// 200 entities, no stop-word skew → prefix.
-		{"uniform-corpus", "prefix", func(rng *rand.Rand) map[string]map[string]uint32 {
-			return randomEntities(rng, 200, 400, 6, 3)
-		}},
-		// 200 entities all sharing one hot element → the hottest posting
-		// list covers the whole partition → lsh.
-		{"stopword-corpus", "lsh", func(rng *rand.Rand) map[string]map[string]uint32 {
-			out := randomEntities(rng, 200, 400, 6, 3)
-			for _, counts := range out {
-				counts["hot"] = 1
-			}
-			return out
-		}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(77))
-			entities := tc.gen(rng)
-			ix, err := NewIndex(IndexOptions{Measure: "jaccard"})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer ix.Close()
-			names := make([]string, 0, len(entities))
-			for name := range entities {
-				names = append(names, name)
-			}
-			sort.Strings(names)
-			for _, name := range names {
-				mustAdd(t, ix, name, entities[name])
-			}
-			plans := ix.Stats().Plans
-			for s, plan := range plans {
-				if plan != tc.plan {
-					t.Fatalf("shard %d planned %q, corpus shaped for %q (plans %v)", s, plan, tc.plan, plans)
-				}
-			}
-			for _, k := range []int{1, 5} {
-				probe := entities[names[3]]
-				mustMatchKNN(t, fmt.Sprintf("%s k=%d", tc.name, k),
-					ix.QueryKNN(probe, k), oracleKNN(t, entities, "jaccard", probe, "", k))
-			}
-		})
 	}
 }
